@@ -1,0 +1,7 @@
+"""Make the program (``src/``) and the benchmark modules importable."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
