@@ -5,10 +5,11 @@ Two scenarios, one per dispatch pathology the async core fixes:
 * **Throughput vs concurrent clients** — threaded clients hammer a grid
   of containers hosting I/O-modeled services (each call sleeps a fixed
   service time, the in-process stand-in for a store/disk round trip).
-  Under the legacy whole-container lock (``serialize_dispatch=True``)
-  throughput flatlines at ``containers / service_time`` no matter how
-  many clients arrive; per-service gates scale until every deployed
-  service is busy.  The shape assertion mirrors the MDS2 measurements
+  Under the legacy whole-container lock (the :class:`ContainerLockCore`
+  baseline below, which hands every path one shared gate) throughput
+  flatlines at ``containers / service_time`` no matter how many
+  clients arrive; per-service gates scale until every deployed service
+  is busy.  The shape assertion mirrors the MDS2 measurements
   the grid-monitoring literature reports: concurrency scales with the
   number of independently dispatchable endpoints, not with lock count.
 
@@ -38,6 +39,7 @@ from repro.ogsi import (
     client_id_headers,
     is_busy_fault,
 )
+from repro.ogsi.dispatch import DispatchCore, ServiceGate
 from repro.soap.faults import SoapFault
 from repro.wsdl.porttype import Operation, Parameter, PortType
 
@@ -77,13 +79,25 @@ class SlowStoreService(GridServiceBase):
         return f"value-for-{key}"
 
 
-def _build_grid(serialize_dispatch: bool):
+class ContainerLockCore(DispatchCore):
+    """Baseline arm: the legacy whole-container lock — every deployed
+    path of the container dispatches under one shared gate."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._container_gate = ServiceGate()
+
+    def gate_for(self, path: str) -> ServiceGate:
+        return self._container_gate
+
+
+def _build_grid(container_lock: bool):
     env = GridEnvironment()
     endpoints = []
     for c in range(CONTAINERS):
-        container = env.create_container(
-            f"bench-{c}:1", serialize_dispatch=serialize_dispatch
-        )
+        container = env.create_container(f"bench-{c}:1")
+        if container_lock:
+            container._core = ContainerLockCore()
         for s in range(SERVICES_PER_CONTAINER):
             gsh = container.deploy(
                 f"services/store-{s}", SlowStoreService(SERVICE_TIME_S)
@@ -158,8 +172,10 @@ def _run_clients(env, endpoints, clients: int, requests: int) -> dict:
 
 def test_throughput_scales_with_concurrent_clients():
     arms = {}
-    for label, serialize in (("legacy-container-lock", True), ("per-service", False)):
-        env, endpoints = _build_grid(serialize_dispatch=serialize)
+    for label, container_lock in (
+        ("legacy-container-lock", True), ("per-service", False)
+    ):
+        env, endpoints = _build_grid(container_lock=container_lock)
         arms[label] = [
             _run_clients(env, endpoints, clients, REQUESTS_PER_CLIENT)
             for clients in CLIENT_SWEEP

@@ -10,26 +10,28 @@ else unless the scheduler is tenant-aware.  Three scenarios:
   fan-out layer directly, the way MDS2's scalability study drove the
   GRIS: each simulated query fans a fixed-width burst of fast member
   calls through one of three arms: the legacy per-query
-  ``ThreadPoolExecutor`` (exactly what ``FederationEngine``'s legacy
-  branch builds and tears down per query), the engine-lifetime pooled
-  scheduler in FIFO mode, and the pooled scheduler with per-tenant
-  fair queueing.  The gate: at the top of the sweep the pooled arms
-  answer with a p50 at least **2x** better than legacy — warm workers
-  vs per-query thread create/join churn.
+  ``ThreadPoolExecutor`` (built and torn down inside every query), the
+  engine-lifetime pooled scheduler run as one global FIFO (every task
+  submitted under one constant tenant), and the pooled scheduler with
+  per-tenant fair queueing.  The gate: at the top of the sweep the
+  pooled arms answer with a p50 at least **2x** better than legacy —
+  warm workers vs per-query thread create/join churn.
 
 * **End-to-end engine curve** (informational) — the same three arms
   behind the full engine stack (parse, plan, member SOAP dispatch,
   FIRST_COMPLETED merge) over a wide synthetic federation, every query
-  text unique so the plan cache never answers.  On a small host the
-  engine's own CPU dominates and the arms converge, so this curve
-  records the full-stack numbers and asserts pool invariants instead
-  of a latency ratio.
+  text unique so the plan cache never answers.  The legacy arm is
+  :class:`PerQueryPoolEngine`, an engine whose fan-out builds a pool
+  per query.  On a small host the engine's own CPU dominates and the
+  arms converge, so this curve records the full-stack numbers and
+  asserts pool invariants instead of a latency ratio.
 
 * **Minority-tenant p99 under a flooding tenant** — one tenant keeps
   hundreds of tasks queued; a minority tenant submits one task at a
   time.  With fair queueing its p99 stays within **3x** of the
   uncontended baseline (round-robin admits it every rotation); with one
-  global FIFO its p99 grows with the flood backlog — starvation.
+  global FIFO (both tenants' tasks submitted under one tenant key) its
+  p99 grows with the flood backlog — starvation.
 
 ``FEDQUERY_BENCH_QUICK=1`` (the CI mode) shrinks the federation and the
 sweeps so the file runs in seconds while asserting the same shape.
@@ -41,7 +43,7 @@ import itertools
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 from conftest import write_json, write_result
 
@@ -66,6 +68,10 @@ POOL_WORKERS = 16 if QUICK else 32
 MEMBERS = 12 if QUICK else 96
 E2E_DRIVER_SWEEP = (4, 16) if QUICK else (8, 32)
 E2E_QUERIES_PER_DRIVER = 5 if QUICK else 16
+
+#: the FIFO arms submit every task under this one tenant key: one
+#: tenant is one FIFO, so the fair scheduler runs them in arrival order
+FIFO_TENANT = "fifo"
 
 #: fairness scenario: modeled member-call time (sleep: I/O, GIL-free)
 TASK_S = 0.005
@@ -146,18 +152,19 @@ def _curve_line(drivers: int, label: str, point: dict) -> str:
 
 def test_pooled_fanout_beats_per_query_pool_at_scale():
     def legacy_query(driver: int, q: int) -> None:
-        # the legacy FederationEngine branch: one pool per query, sized
-        # to the fan-out, created and joined inside the request
+        # the legacy per-query pool: sized to the fan-out, created and
+        # joined inside the request
         with ThreadPoolExecutor(max_workers=FANOUT) as pool:
             wait([pool.submit(_member_call) for _ in range(FANOUT)])
 
     def pooled_arm(fair: bool):
-        sched = FanoutScheduler(max_workers=POOL_WORKERS, fair=fair, name="bench")
+        sched = FanoutScheduler(max_workers=POOL_WORKERS, name="bench")
         wait([sched.submit(_member_call, tenant="warm") for _ in range(FANOUT)])
 
         def query(driver: int, q: int) -> None:
+            tenant = f"client-{driver}" if fair else FIFO_TENANT
             futures = [
-                sched.submit(_member_call, tenant=f"client-{driver}")
+                sched.submit(_member_call, tenant=tenant)
                 for _ in range(FANOUT)
             ]
             for future in futures:
@@ -246,23 +253,46 @@ def _build_federation():
     return grid, sorted(wrappers)
 
 
-def _make_engine(grid, use_shared_pool: bool, fair: bool) -> FederationEngine:
+class PerQueryPoolEngine(FederationEngine):
+    """Baseline arm: the engine before the shared scheduler — every
+    query's fan-out builds its own ``ThreadPoolExecutor`` sized
+    ``min(max_workers, len(tasks))`` and joins it before answering."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.pools_built = 0
+
+    def _fan_out(self, tasks: list, tenant: str, merge) -> None:
+        self.pools_built += 1
+        width = min(self.max_workers, len(tasks))
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            pending = {pool.submit(task) for task in tasks}
+            try:
+                while pending:
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        merge(future)
+            except BaseException:
+                for future in pending:
+                    future.cancel()
+                raise
+
+
+def _make_engine(grid, arm: str) -> FederationEngine:
     """One engine per arm, driven directly (the federated SOAP endpoint
     serializes on its per-service gate, which would measure the gate,
     not the fan-out; member calls still cross the Services Layer)."""
     client = PPerfGridClient(grid.environment, grid.uddi_gsh)
-    scheduler = (
-        FanoutScheduler(max_workers=POOL_WORKERS, fair=fair, name="bench")
-        if use_shared_pool
-        else None
-    )
-    engine = FederationEngine(
-        client,
-        managers={name: site.manager for name, site in grid.sites.items()},
-        cost_based=False,
-        scheduler=scheduler,
-        use_shared_pool=use_shared_pool,
-    )
+    managers = {name: site.manager for name, site in grid.sites.items()}
+    if arm == "legacy":
+        engine = PerQueryPoolEngine(client, managers=managers, cost_based=False)
+    else:
+        engine = FederationEngine(
+            client,
+            managers=managers,
+            cost_based=False,
+            scheduler=FanoutScheduler(max_workers=POOL_WORKERS, name="bench"),
+        )
     engine.max_workers = POOL_WORKERS
     engine.execute("SELECT m")  # warm discovery + member bindings
     return engine
@@ -270,22 +300,20 @@ def _make_engine(grid, use_shared_pool: bool, fair: bool) -> FederationEngine:
 
 def test_end_to_end_engine_scale_curve():
     grid, members = _build_federation()
-    arms = {
-        "legacy": (False, True),
-        "pooled": (True, False),
-        "pooled+fair": (True, True),
-    }
+    arms = ("legacy", "pooled", "pooled+fair")
     curves: dict[str, list[dict]] = {}
     engines = {}
     try:
-        for label, (use_pool, fair) in arms.items():
-            engine = engines[label] = _make_engine(grid, use_pool, fair)
+        for label in arms:
+            engine = engines[label] = _make_engine(grid, label)
+            fifo = label == "pooled"
 
-            def query(driver: int, q: int, eng=engine) -> None:
+            def query(driver: int, q: int, eng=engine, fifo=fifo) -> None:
                 app = members[(driver + q) % len(members)]
                 n = next(_unique)
                 text = f"SELECT m WHERE app = '{app}' AND value >= -{n}.5"
-                result = eng.execute(text, tenant=f"client-{driver}-{q}")
+                tenant = FIFO_TENANT if fifo else f"client-{driver}-{q}"
+                result = eng.execute(text, tenant=tenant)
                 assert not result.cached  # unique text: the fan-out ran
 
             curves[label] = [
@@ -305,14 +333,16 @@ def test_end_to_end_engine_scale_curve():
         # invariants, not a latency gate (engine CPU dominates on small
         # hosts): every query really fanned out, and the pooled arms
         # kept one engine-lifetime worker set with no per-query growth
+        total_queries = sum(d * E2E_QUERIES_PER_DRIVER for d in E2E_DRIVER_SWEEP)
         for label in ("pooled", "pooled+fair"):
             stats = engines[label].scheduler_stats()
-            assert stats["enabled"] == 1
             assert stats["workersCreated"] <= POOL_WORKERS, label
-            assert stats["submitted"] >= sum(
-                d * E2E_QUERIES_PER_DRIVER for d in E2E_DRIVER_SWEEP
-            )
-        assert engines["legacy"].scheduler_stats()["enabled"] == 0
+            assert stats["submitted"] >= total_queries
+        # the legacy arm really ran its own per-query pools, never the
+        # shared scheduler
+        legacy = engines["legacy"]
+        assert legacy.pools_built >= total_queries
+        assert legacy.scheduler_stats()["submitted"] == 0
 
         write_result("concurrency_scale_e2e.txt", "\n".join(lines))
         write_json(
@@ -337,13 +367,15 @@ def test_end_to_end_engine_scale_curve():
 
 def _minority_latency(fair: bool) -> tuple[float, float]:
     """(uncontended p99 ms, contended p99 ms) for the minority tenant."""
-    sched = FanoutScheduler(max_workers=FAIR_WORKERS, fair=fair, name="fairness")
+    sched = FanoutScheduler(max_workers=FAIR_WORKERS, name="fairness")
     work = lambda: time.sleep(TASK_S)  # noqa: E731 - tiny modeled member call
+    minority = "minority" if fair else FIFO_TENANT
+    flood_tenant = "flood" if fair else FIFO_TENANT
     try:
         baseline: list[float] = []
         for _ in range(MINORITY_PROBES):
             t0 = time.perf_counter()
-            sched.submit(work, tenant="minority").result(timeout=60.0)
+            sched.submit(work, tenant=minority).result(timeout=60.0)
             baseline.append(time.perf_counter() - t0)
 
         stop = threading.Event()
@@ -351,7 +383,7 @@ def _minority_latency(fair: bool) -> tuple[float, float]:
         def flood() -> None:
             while not stop.is_set():
                 futures = [
-                    sched.submit(work, tenant="flood") for _ in range(FLOOD_DEPTH)
+                    sched.submit(work, tenant=flood_tenant) for _ in range(FLOOD_DEPTH)
                 ]
                 for future in futures:
                     future.result(timeout=120.0)
@@ -362,7 +394,7 @@ def _minority_latency(fair: bool) -> tuple[float, float]:
         contended: list[float] = []
         for _ in range(MINORITY_PROBES):
             t0 = time.perf_counter()
-            sched.submit(work, tenant="minority").result(timeout=120.0)
+            sched.submit(work, tenant=minority).result(timeout=120.0)
             contended.append(time.perf_counter() - t0)
         stop.set()
         flooder.join(timeout=60.0)

@@ -6,7 +6,8 @@
    (every published Application) and bound lazily; their query-param
    vocabularies feed the planner.
 2. **Fan-out** — each selected execution becomes one task; tasks run on
-   a thread pool whose width follows the Managers' replica topology.
+   the engine-lifetime :class:`~repro.fedquery.scheduler.FanoutScheduler`
+   pool, whose width follows the Managers' replica topology.
    Container dispatch serializes *per service* (not per container), so
    several tasks per replica container make real progress at once;
    ``fanout_slots_per_replica`` sizes the pool accordingly.  The merge
@@ -56,7 +57,7 @@
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 
 from repro.core.prcache import ByteBudgetLruCache, PrCache
@@ -174,7 +175,6 @@ class FederationEngine:
         accept_encodings: tuple[str, ...] | None = None,
         tier0: bool = True,
         scheduler: FanoutScheduler | None = None,
-        use_shared_pool: bool = True,
     ) -> None:
         self.client = client
         self.managers = dict(managers or {})
@@ -264,9 +264,6 @@ class FederationEngine:
         }
         #: lazily created ViewMaintainer (see :meth:`views`)
         self._view_maintainer = None
-        #: False reverts the fan-out to a fresh per-query
-        #: ThreadPoolExecutor (the concurrency benchmark's baseline arm)
-        self.use_shared_pool = use_shared_pool
         #: the engine-lifetime fan-out pool; injected (the deployer owns
         #: its lifecycle) or created lazily on first pooled fan-out
         self._scheduler = scheduler
@@ -309,13 +306,12 @@ class FederationEngine:
         """Pool/queue/tenant counters for SDE publication and stats().
 
         Safe before the first pooled query: reports the pool as absent
-        (``enabled`` reflects ``use_shared_pool``) with zeroed counters
-        rather than forcing pool creation as a side effect of monitoring.
+        with zeroed counters rather than forcing pool creation as a side
+        effect of monitoring.
         """
         sched = self._scheduler
         if sched is None or sched.is_shutdown:
             return {
-                "enabled": int(self.use_shared_pool),
                 "maxWorkers": 0,
                 "workers": 0,
                 "busy": 0,
@@ -325,9 +321,7 @@ class FederationEngine:
                 "shed": 0,
                 "poolUtilization": 0.0,
             }
-        out = {"enabled": int(self.use_shared_pool)}
-        out.update(sched.stats())
-        return out
+        return sched.stats()
 
     def set_rate_limit(
         self, tenant: str | None, rate: float, burst: int | None = None
@@ -556,43 +550,11 @@ class FederationEngine:
                     merger.absorb_aggregates(ctx, metric, [record])
         tasks = self._collect_tasks(plan, stats)
         if tasks:
-            if self.use_shared_pool:
-                # engine-lifetime pool: no per-query thread create/join
-                # churn; one rate-limit token is charged per query, and
-                # BusyFault (ServerBusy) propagates to the caller un-
-                # degraded — a shed is not a member failure
-                pool = self._pool()
-                pool.acquire_rate(tenant)
-                pending = {pool.submit(task, tenant=tenant) for task in tasks}
-                try:
-                    # merge on this thread as completions stream in —
-                    # unchanged from the per-query pool, byte-identical
-                    while pending:
-                        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            self._merge_payloads(merger, future, stats, errors, deps)
-                except BaseException:
-                    # hard failure: queued member tasks must not run
-                    for future in pending:
-                        future.cancel()
-                    raise
-            else:
-                width = self._fanout_width(tasks)
-                with ThreadPoolExecutor(max_workers=width) as legacy_pool:
-                    pending = {legacy_pool.submit(task) for task in tasks}
-                    try:
-                        while pending:
-                            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                            for future in done:
-                                self._merge_payloads(
-                                    merger, future, stats, errors, deps
-                                )
-                    except BaseException:
-                        # hard failure: don't let queued member tasks run
-                        # to completion during pool shutdown
-                        for future in pending:
-                            future.cancel()
-                        raise
+            self._fan_out(
+                tasks,
+                tenant,
+                lambda future: self._merge_payloads(merger, future, stats, errors, deps),
+            )
             if errors and len(errors) == len(tasks):
                 raise QueryError(
                     f"all {len(tasks)} member task(s) failed: {'; '.join(errors[:3])}"
@@ -682,7 +644,7 @@ class FederationEngine:
             deps.add((skipped.app, "*"))
         stats_lock = threading.Lock()
         streams = self._stream_tasks(plan, query, stats, stats_lock, deps, tenant)
-        if streams and self.use_shared_pool:
+        if streams:
             self._pool().acquire_rate(tenant)
         source = self._stream_rows(
             query, plan, fingerprint, streams, stats, errors, deps,
@@ -701,16 +663,14 @@ class FederationEngine:
         tenant: str = DEFAULT_TENANT,
     ) -> list[MemberStream]:
         """One :class:`MemberStream` per selected execution (not started)."""
-        runner = None
-        if self.use_shared_pool:
-            # producers run on the scheduler's elastic stream lane (slots
-            # accounted to the tenant), never on the bounded sub-query
-            # pool: a backpressure-blocked producer must not eat a slot
-            # another tenant's bulk tasks need
-            pool = self._pool()
+        # producers run on the scheduler's elastic stream lane (slots
+        # accounted to the tenant), never on the bounded sub-query pool:
+        # a backpressure-blocked producer must not eat a slot another
+        # tenant's bulk tasks need
+        pool = self._pool()
 
-            def runner(fn, _tenant=tenant):
-                pool.spawn(fn, tenant=_tenant)
+        def runner(fn):
+            pool.spawn(fn, tenant=tenant)
 
         streams: list[MemberStream] = []
         for member in plan.members:
@@ -744,8 +704,8 @@ class FederationEngine:
                     MemberStream(
                         f"{member.app}:{len(streams)}",
                         produce,
+                        runner,
                         chunk_depth=self.stream_chunk_depth,
-                        runner=runner,
                     )
                 )
         return streams
@@ -1304,36 +1264,6 @@ class FederationEngine:
                 tasks.append(self._make_task(member, execution, subqueries))
         return tasks
 
-    def _fanout_width(self, tasks: list) -> int:
-        """Pool width for one query's fan-out.
-
-        Only the Managers of members that actually contribute tasks
-        count toward the width — a member the cost model skipped (or
-        that matched no executions) gets no threads sized for it — and
-        the width never exceeds the task count, so a small query on a
-        wide federation doesn't spawn idle workers.
-        """
-        if self.max_workers is not None:
-            width = self.max_workers
-        else:
-            apps = {getattr(task, "app", None) for task in tasks}
-            if None in apps:
-                # tasks of unknown provenance (e.g. wrapped in tests):
-                # fall back to the whole topology
-                stats = [m.stats() for m in self.managers.values()]
-            else:
-                stats = [
-                    manager.stats()
-                    for name, manager in self.managers.items()
-                    if name in apps
-                ]
-            width = choose_fanout(
-                stats, slots_per_replica=self.fanout_slots_per_replica
-            )
-        if tasks:
-            width = max(1, min(width, len(tasks)))
-        return width
-
     def _make_task(self, member: MemberPlan, execution, subqueries):
         def run():
             # exec_id is always resolved (cached per GSH): the coherence
@@ -1365,8 +1295,29 @@ class FederationEngine:
                     payloads.append((sub.metric, "raw", results))
             return ctx, payloads
 
-        run.app = member.app  # provenance for fan-out sizing
         return run
+
+    def _fan_out(self, tasks: list, tenant: str, merge) -> None:
+        """Run member *tasks* on the engine-lifetime pool, calling
+        ``merge(future)`` on this thread as each one completes.
+
+        One rate-limit token is charged per query, and a ``BusyFault``
+        (ServerBusy) propagates to the caller undegraded — a shed is not
+        a member failure.
+        """
+        pool = self._pool()
+        pool.acquire_rate(tenant)
+        pending = {pool.submit(task, tenant=tenant) for task in tasks}
+        try:
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    merge(future)
+        except BaseException:
+            # hard failure: queued member tasks must not run
+            for future in pending:
+                future.cancel()
+            raise
 
     def _merge_payloads(
         self,

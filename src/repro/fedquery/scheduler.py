@@ -1,21 +1,21 @@
 """Engine-lifetime fan-out scheduling: pooled workers, tenant fairness.
 
-The bulk executor used to build a fresh :class:`ThreadPoolExecutor` per
-query — at MDS2-style concurrency the per-request thread create/join
-churn dominates long before the stores saturate (the same collapse the
-grid information-service studies measured).  :class:`FanoutScheduler`
-replaces it with one engine-lifetime pool:
+A thread pool built per query pays thread create/join churn on every
+request; at MDS2-style concurrency that churn dominates long before the
+stores saturate (the same collapse the grid information-service studies
+measured).  :class:`FanoutScheduler` is one engine-lifetime pool instead:
 
 * **Pooled workers** — a bounded set of daemon threads, spawned lazily
   up to ``max_workers`` and reaped after ``worker_idle_s`` of idleness,
   pull member sub-query tasks from the scheduler's queues.  ``submit``
-  returns a plain :class:`concurrent.futures.Future`, so the engine's
-  ``FIRST_COMPLETED`` merge loop is byte-for-byte unchanged.
-* **Per-tenant fair queueing** — with ``fair=True`` (the default) each
-  tenant (the container ingress's ``clientId``) gets its own FIFO and
-  runnable tasks are admitted round-robin across tenants, so a flooding
-  tenant lengthens only its own queue.  ``fair=False`` degrades to one
-  global FIFO (the benchmark's unfair arm).
+  returns a plain :class:`concurrent.futures.Future`, which the
+  engine's ``FIRST_COMPLETED`` merge loop waits on.
+* **Per-tenant fair queueing** — each tenant (the container ingress's
+  ``clientId``) gets its own FIFO in a
+  :class:`~repro.ogsi.dispatch.FairQueue` and runnable tasks are
+  admitted round-robin across tenants, so a flooding tenant lengthens
+  only its own queue.  Tasks submitted under one tenant run in
+  submission order.
 * **Token-bucket rate limiting** — :meth:`acquire_rate` charges one
   token per query against the tenant's bucket and sheds excess with the
   established ``ServerBusy`` :class:`~repro.ogsi.dispatch.BusyFault`.
@@ -26,7 +26,8 @@ replaces it with one engine-lifetime pool:
   shedding).  Data-path completions are set by the worker that computed
   them — funnelling every completion through the single reactor thread
   would serialize the whole pool — so the reactor paces control work,
-  never the merge.
+  never the merge.  Every submitted task is counted exactly once, as
+  completed, cancelled or shed on a timeout, or is still queued.
 * **An elastic stream lane** — :meth:`spawn` runs long-lived
   backpressure-blocked producers (:class:`~repro.fedquery.stream.
   MemberStream`) on reusable threads *outside* the bounded pool, so a
@@ -39,11 +40,10 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from typing import Callable
 
-from repro.ogsi.dispatch import BusyFault
+from repro.ogsi.dispatch import BusyFault, FairQueue
 
 #: pool width when no Manager topology is known
 DEFAULT_POOL_WORKERS = 8
@@ -107,7 +107,7 @@ class _TenantState:
     """Per-tenant accounting (guarded by the scheduler condition)."""
 
     __slots__ = (
-        "submitted", "completed", "cancelled", "shed",
+        "submitted", "completed", "cancelled", "shed", "shed_timeouts",
         "wait_total_s", "wait_count", "wait_max_s", "stream_slots",
     )
 
@@ -116,6 +116,7 @@ class _TenantState:
         self.completed = 0
         self.cancelled = 0
         self.shed = 0
+        self.shed_timeouts = 0
         self.wait_total_s = 0.0
         self.wait_count = 0
         self.wait_max_s = 0.0
@@ -130,6 +131,7 @@ class _TenantState:
             "completed": self.completed,
             "cancelled": self.cancelled,
             "shed": self.shed,
+            "shedTimeouts": self.shed_timeouts,
             "queued": queued,
             "avgWaitMs": round(avg_ms, 3),
             "maxWaitMs": round(1000.0 * self.wait_max_s, 3),
@@ -150,7 +152,6 @@ class FanoutScheduler:
     def __init__(
         self,
         max_workers: int = DEFAULT_POOL_WORKERS,
-        fair: bool = True,
         reactor=None,
         name: str = "fanout",
         rate: float | None = None,
@@ -164,14 +165,10 @@ class FanoutScheduler:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self.fair = fair
         self.name = name
         self._cond = threading.Condition()
-        #: fair mode: tenant -> FIFO of tasks, rotated round-robin
-        self._queues: dict[str, deque[_Task]] = {}
-        self._rotation: deque[str] = deque()
-        #: unfair mode: one global FIFO
-        self._fifo: deque[_Task] = deque()
+        #: queued tasks, one FIFO per tenant, served round-robin
+        self._queue: FairQueue[_Task] = FairQueue()
         self._tenants: dict[str, _TenantState] = {}
         self._buckets: dict[str, TokenBucket] = {}
         self._default_rate = rate
@@ -184,7 +181,6 @@ class FanoutScheduler:
         self._workers: set[threading.Thread] = set()
         self._idle = 0
         self._busy = 0
-        self._queued = 0
         self._shutdown = False
         # counters (guarded by _cond)
         self.workers_created = 0
@@ -220,17 +216,9 @@ class FanoutScheduler:
         with self._cond:
             if self._shutdown:
                 raise RuntimeError(f"scheduler {self.name!r} is shut down")
-            if self.fair:
-                fifo = self._queues.get(tenant)
-                if fifo is None:
-                    fifo = self._queues[tenant] = deque()
-                    self._rotation.append(tenant)
-                fifo.append(task)
-            else:
-                self._fifo.append(task)
-            self._queued += 1
+            self._queue.push(tenant, task)
             self.submitted += 1
-            self.peak_queued = max(self.peak_queued, self._queued)
+            self.peak_queued = max(self.peak_queued, len(self._queue))
             self._tenant_locked(tenant).submitted += 1
             if self._idle == 0 and len(self._workers) < self.max_workers:
                 # damped growth: always keep at least one worker, then
@@ -395,30 +383,16 @@ class FanoutScheduler:
                 ran = False
             with self._cond:
                 self._busy -= 1
-                state = self._tenant_locked(tenant)
                 if ran:
                     self.completed += 1
-                    state.completed += 1
+                    self._tenant_locked(tenant).completed += 1
                 else:
-                    self.cancelled += 1
-                    state.cancelled += 1
+                    self._count_cancelled_locked(tenant)
 
     def _pop_locked(self) -> _Task | None:
-        if self.fair:
-            if not self._rotation:
-                return None
-            tenant = self._rotation.popleft()
-            fifo = self._queues[tenant]
-            task = fifo.popleft()
-            if fifo:
-                self._rotation.append(tenant)  # round-robin re-queue
-            else:
-                del self._queues[tenant]
-        else:
-            if not self._fifo:
-                return None
-            task = self._fifo.popleft()
-        self._queued -= 1
+        task = self._queue.pop()
+        if task is None:
+            return None
         state = self._tenant_locked(task.tenant)
         wait_s = time.monotonic() - task.enqueued
         state.wait_total_s += wait_s
@@ -432,6 +406,10 @@ class FanoutScheduler:
             state = self._tenants[tenant] = _TenantState()
         return state
 
+    def _count_cancelled_locked(self, tenant: str) -> None:
+        self.cancelled += 1
+        self._tenant_locked(tenant).cancelled += 1
+
     # ----------------------------------------------------------- reactor tick
     def _on_tick(self) -> None:
         """The reactor-driven control loop: sample gauges, shed overstays."""
@@ -441,33 +419,28 @@ class FanoutScheduler:
             self._util_samples += 1
             if self._max_queue_wait_s is not None:
                 cutoff = time.monotonic() - self._max_queue_wait_s
-                fifos = list(self._queues.values()) if self.fair else [self._fifo]
-                for fifo in fifos:
-                    while fifo and fifo[0].enqueued < cutoff:
-                        task = fifo.popleft()
-                        overdue.append(task)
-                        self._queued -= 1
-                        self.shed += 1
-                        self.shed_timeouts += 1
-                        self._tenant_locked(task.tenant).shed += 1
-                if self.fair:
-                    drained = [t for t, fifo in self._queues.items() if not fifo]
-                    for tenant in drained:
-                        del self._queues[tenant]
-                        try:
-                            self._rotation.remove(tenant)
-                        except ValueError:
-                            pass
+                for task in self._queue.shed_heads(lambda t: t.enqueued < cutoff):
+                    # claiming the future under the lock settles the
+                    # race with a caller's cancel(): a task the caller
+                    # already cancelled counts as cancelled, not shed
+                    if not task.future.set_running_or_notify_cancel():
+                        self._count_cancelled_locked(task.tenant)
+                        continue
+                    overdue.append(task)
+                    state = self._tenant_locked(task.tenant)
+                    self.shed += 1
+                    self.shed_timeouts += 1
+                    state.shed += 1
+                    state.shed_timeouts += 1
         for task in overdue:
             # the reactor completes shed futures: the merge loop sees a
             # BusyFault exactly as if admission had refused the work
-            if task.future.set_running_or_notify_cancel():
-                task.future.set_exception(
-                    BusyFault(
-                        f"tenant {task.tenant!r} task queued longer than "
-                        f"{self._max_queue_wait_s:g}s, shed"
-                    )
+            task.future.set_exception(
+                BusyFault(
+                    f"tenant {task.tenant!r} task queued longer than "
+                    f"{self._max_queue_wait_s:g}s, shed"
                 )
+            )
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -483,13 +456,9 @@ class FanoutScheduler:
         """Stop workers and cancel queued tasks.  Idempotent."""
         with self._cond:
             self._shutdown = True
-            pending: list[_Task] = list(self._fifo)
-            self._fifo.clear()
-            for fifo in self._queues.values():
-                pending.extend(fifo)
-            self._queues.clear()
-            self._rotation.clear()
-            self._queued = 0
+            pending = self._queue.drain()
+            for task in pending:
+                self._count_cancelled_locked(task.tenant)
             workers = list(self._workers)
             self._cond.notify_all()
         for task in pending:
@@ -510,20 +479,18 @@ class FanoutScheduler:
     def stats(self) -> dict[str, object]:
         """Counter snapshot, with per-tenant sub-records under ``tenants``."""
         with self._cond:
-            queued_by_tenant = {t: len(f) for t, f in self._queues.items()}
             tenants = {
-                name: state.snapshot(queued_by_tenant.get(name, 0))
+                name: state.snapshot(self._queue.depth(name))
                 for name, state in sorted(self._tenants.items())
             }
             avg_util = (
                 self._util_sum / self._util_samples if self._util_samples else 0.0
             )
             return {
-                "fair": int(self.fair),
                 "maxWorkers": self.max_workers,
                 "workers": len(self._workers),
                 "busy": self._busy,
-                "queueDepth": self._queued,
+                "queueDepth": len(self._queue),
                 "peakQueueDepth": self.peak_queued,
                 "submitted": self.submitted,
                 "completed": self.completed,

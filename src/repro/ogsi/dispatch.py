@@ -17,7 +17,8 @@ lock).  This module replaces that lock with three cooperating pieces:
   delivery), restoring them afterwards.  No SOAP round trip is ever made
   while holding dispatch state, which is the deadlock fix.
 * :class:`AdmissionController` — a bounded request queue at the
-  container ingress with per-client fair (round-robin) queueing and
+  container ingress with per-client fair (round-robin) queueing (a
+  :class:`FairQueue`, the same primitive the fan-out scheduler uses) and
   load-shedding: when the queue is at its configured bound, the request
   is refused with a ``Server``-role busy :class:`BusyFault` instead of
   piling onto the convoy.  Nested dispatches (a service calling another
@@ -32,7 +33,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Generic, Iterator, TypeVar
 
 from repro.soap.faults import SoapFault
 from repro.xmlkit import Element
@@ -165,6 +166,86 @@ def suspend_dispatch() -> Iterator[None]:
             gate.acquire_restore(depth)
 
 
+# ----------------------------------------------------------------- fair queue
+T = TypeVar("T")
+
+
+class FairQueue(Generic[T]):
+    """Per-key FIFOs served round-robin across keys.
+
+    :meth:`pop` takes the head of the first key in the rotation and, if
+    that key still has items, moves it to the rotation's tail — so one
+    key with a deep backlog lengthens only its own FIFO.  A key whose
+    FIFO empties (by :meth:`pop` or :meth:`shed_heads`) leaves the
+    rotation and rejoins at the tail on its next :meth:`push`.
+
+    Not thread-safe: every caller already guards its queue with its own
+    condition, and the queue is only touched under it.
+    """
+
+    __slots__ = ("_fifos", "_rotation", "_size")
+
+    def __init__(self) -> None:
+        self._fifos: dict[str, deque[T]] = {}
+        #: keys that currently have items, in service order
+        self._rotation: deque[str] = deque()
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, key: str, item: T) -> None:
+        fifo = self._fifos.get(key)
+        if fifo is None:
+            fifo = self._fifos[key] = deque()
+            self._rotation.append(key)
+        fifo.append(item)
+        self._size += 1
+
+    def pop(self) -> T | None:
+        """The next item in round-robin order (``None`` when empty)."""
+        if not self._rotation:
+            return None
+        key = self._rotation.popleft()
+        fifo = self._fifos[key]
+        item = fifo.popleft()
+        if fifo:
+            self._rotation.append(key)
+        else:
+            del self._fifos[key]
+        self._size -= 1
+        return item
+
+    def depth(self, key: str) -> int:
+        fifo = self._fifos.get(key)
+        return len(fifo) if fifo is not None else 0
+
+    def shed_heads(self, expired: Callable[[T], bool]) -> list[T]:
+        """Remove each key's leading items for which *expired* holds.
+
+        Only heads are examined: items are pushed in arrival order, so
+        when the head of a FIFO has not expired nothing behind it has.
+        """
+        shed: list[T] = []
+        for key in list(self._rotation):
+            fifo = self._fifos[key]
+            while fifo and expired(fifo[0]):
+                shed.append(fifo.popleft())
+            if not fifo:
+                del self._fifos[key]
+                self._rotation.remove(key)
+        self._size -= len(shed)
+        return shed
+
+    def drain(self) -> list[T]:
+        """Remove and return every item (per key, keys in rotation order)."""
+        items = [item for key in self._rotation for item in self._fifos[key]]
+        self._fifos.clear()
+        self._rotation.clear()
+        self._size = 0
+        return items
+
+
 # ----------------------------------------------------------------- admission
 class AdmissionController:
     """Bounded ingress queue with per-client fair (round-robin) admission.
@@ -189,17 +270,19 @@ class AdmissionController:
         self.max_inflight = max_inflight
         self.max_queue_depth = max_queue_depth
         self._cond = threading.Condition()
-        #: client key -> FIFO of waiting tickets (single-element lists)
-        self._waiters: dict[str, deque[list[bool]]] = {}
-        #: round-robin order over clients that currently have waiters
-        self._rotation: deque[str] = deque()
+        #: waiting tickets (single-element lists), one FIFO per client
+        self._waiters: FairQueue[list[bool]] = FairQueue()
         self.inflight = 0
-        self.queued = 0
         self.admitted = 0
         self.shed = 0
         self.queue_waits = 0
         self.peak_inflight = 0
         self.peak_queued = 0
+
+    @property
+    def queued(self) -> int:
+        """Requests currently waiting for admission."""
+        return len(self._waiters)
 
     def acquire(self, client: str) -> None:
         """Admit one request for *client*, queueing or shedding as needed.
@@ -208,7 +291,7 @@ class AdmissionController:
         """
         with self._cond:
             if self.max_inflight is None or (
-                self.inflight < self.max_inflight and not self._rotation
+                self.inflight < self.max_inflight and not self._waiters
             ):
                 self._admit_locked()
                 return
@@ -222,13 +305,7 @@ class AdmissionController:
                     f"(bound {self.max_queue_depth}), try again later"
                 )
             ticket: list[bool] = [False]
-            fifo = self._waiters.get(client)
-            if fifo is None:
-                fifo = self._waiters[client] = deque()
-            if not fifo:
-                self._rotation.append(client)
-            fifo.append(ticket)
-            self.queued += 1
+            self._waiters.push(client, ticket)
             self.queue_waits += 1
             self.peak_queued = max(self.peak_queued, self.queued)
             while not ticket[0]:
@@ -266,18 +343,11 @@ class AdmissionController:
 
     def _grant_locked(self) -> None:
         granted = False
-        while self._rotation and (
+        while self._waiters and (
             self.max_inflight is None or self.inflight < self.max_inflight
         ):
-            client = self._rotation.popleft()
-            fifo = self._waiters[client]
-            ticket = fifo.popleft()
-            if fifo:
-                self._rotation.append(client)  # round-robin re-queue
-            else:
-                del self._waiters[client]
+            ticket = self._waiters.pop()
             ticket[0] = True
-            self.queued -= 1
             self._admit_locked()
             granted = True
         if granted:
@@ -298,23 +368,19 @@ class AdmissionController:
 
 # -------------------------------------------------------------- dispatch core
 class DispatchCore:
-    """One container's gate table (plus the legacy single-gate ablation).
+    """One container's gate table: one :class:`ServiceGate` per path.
 
-    ``serialize_all=True`` restores the old whole-container serialization
-    (every path shares one gate) — kept as the baseline arm for the
-    concurrency benchmark and as an escape hatch for services that share
-    mutable state across paths without their own locking.
+    The container asks it for the gate of every dispatch and sweep, so a
+    subclass can change the serialization policy as a whole (the
+    concurrency benchmark's whole-container-lock baseline hands every
+    path one shared gate).
     """
 
-    def __init__(self, serialize_all: bool = False) -> None:
-        self.serialize_all = serialize_all
+    def __init__(self) -> None:
         self._gates: dict[str, ServiceGate] = {}
         self._lock = threading.Lock()
-        self._global_gate = ServiceGate() if serialize_all else None
 
     def gate_for(self, path: str) -> ServiceGate:
-        if self._global_gate is not None:
-            return self._global_gate
         with self._lock:
             gate = self._gates.get(path)
             if gate is None:
@@ -323,13 +389,8 @@ class DispatchCore:
 
     def discard(self, path: str) -> None:
         """Forget a removed service's gate (holders keep their reference)."""
-        if self._global_gate is None:
-            with self._lock:
-                self._gates.pop(path, None)
-
-    def gate_count(self) -> int:
         with self._lock:
-            return len(self._gates)
+            self._gates.pop(path, None)
 
 
 # ------------------------------------------------------------ client identity

@@ -14,6 +14,7 @@ from repro.ogsi import (
 )
 from repro.ogsi.dispatch import (
     AdmissionController,
+    FairQueue,
     ServiceGate,
     extract_client_id,
     suspend_dispatch,
@@ -147,28 +148,6 @@ class TestPerServiceDispatch:
         t2.join(timeout=5.0)
         assert sorted(done) == ["unblocked", "x"]
 
-    def test_serialize_dispatch_restores_container_lock(self):
-        env = GridEnvironment()
-        container = env.create_container("c:1", serialize_dispatch=True)
-        blocker, blocker_gsh = deploy_echo(container, "services/blocker")
-        _, echo_gsh = deploy_echo(container, "services/echo")
-        block_stub = env.stub_for_handle(blocker_gsh, ECHO_PORTTYPE)
-        echo_stub = env.stub_for_handle(echo_gsh, ECHO_PORTTYPE)
-        t1 = threading.Thread(target=block_stub.block, daemon=True)
-        t1.start()
-        assert blocker.entered.wait(timeout=5.0)
-        answered: list[str] = []
-        t2 = threading.Thread(
-            target=lambda: answered.append(echo_stub.ping("hi")), daemon=True
-        )
-        t2.start()
-        time.sleep(0.05)
-        assert answered == []  # legacy mode: whole container serialized
-        blocker.resume.set()
-        t1.join(timeout=5.0)
-        t2.join(timeout=5.0)
-        assert answered == ["hi"]
-
     def test_nested_dispatch_bypasses_admission(self):
         """A service calling a sibling mid-request must not deadlock a
         fully admitted container (admission applies at the ingress only)."""
@@ -279,6 +258,20 @@ class TestAdmissionControl:
             AdmissionController(max_inflight=0)
         with pytest.raises(ValueError):
             AdmissionController(max_queue_depth=-1)
+
+
+class TestFairQueue:
+    def test_key_emptied_by_shedding_rejoins_rotation_at_tail(self):
+        queue = FairQueue()
+        for key, item in [("a", "a1"), ("b", "b1"), ("b", "b2"), ("c", "c1")]:
+            queue.push(key, item)
+        assert queue.shed_heads(lambda item: item == "a1") == ["a1"]
+        assert len(queue) == 3
+        assert queue.depth("a") == 0
+        queue.push("a", "a2")  # "a" left the rotation: it rejoins last
+        assert [queue.pop() for _ in range(4)] == ["b1", "c1", "a2", "b2"]
+        assert queue.pop() is None
+        assert len(queue) == 0
 
 
 class TestIngressCounters:

@@ -53,9 +53,23 @@ def blocked_worker(sched: FanoutScheduler, tenant: str = DEFAULT_TENANT):
     return release, future
 
 
+def assert_tasks_balance(stats: dict) -> None:
+    """Every submitted task is completed, cancelled, shed on a timeout
+    or still queued — globally and per tenant (at a quiescent point)."""
+    assert stats["submitted"] == (
+        stats["completed"] + stats["cancelled"]
+        + stats["shedTimeouts"] + stats["queueDepth"]
+    ), stats
+    for name, tenant in stats["tenants"].items():
+        assert tenant["submitted"] == (
+            tenant["completed"] + tenant["cancelled"]
+            + tenant["shedTimeouts"] + tenant["queued"]
+        ), (name, tenant)
+
+
 class TestFairQueueing:
     def test_round_robin_interleaves_minority_tenant(self):
-        sched = FanoutScheduler(max_workers=1, fair=True)
+        sched = FanoutScheduler(max_workers=1)
         try:
             release, blocker = blocked_worker(sched)
             order: list[str] = []
@@ -72,24 +86,26 @@ class TestFairQueueing:
         finally:
             sched.shutdown()
 
-    def test_unfair_mode_is_submission_order(self):
-        sched = FanoutScheduler(max_workers=1, fair=False)
+    def test_one_tenant_runs_in_submission_order(self):
+        sched = FanoutScheduler(max_workers=1)
         try:
-            release, blocker = blocked_worker(sched)
+            release, blocker = blocked_worker(sched, tenant="all")
             order: list[str] = []
             futures = [
-                sched.submit(lambda t=t: order.append(t), tenant=t)
-                for t in ["hog", "hog", "hog", "meek"]
+                sched.submit(lambda t=t: order.append(t), tenant="all")
+                for t in ["first", "second", "third", "fourth"]
             ]
             release.set()
             for future in futures:
                 future.result(timeout=5.0)
-            assert order == ["hog", "hog", "hog", "meek"]
+            # one tenant key is one FIFO: the benchmarks' global-FIFO
+            # baseline arm submits everything under a constant tenant
+            assert order == ["first", "second", "third", "fourth"]
         finally:
             sched.shutdown()
 
     def test_queue_wait_stats_recorded_per_tenant(self):
-        sched = FanoutScheduler(max_workers=1, fair=True)
+        sched = FanoutScheduler(max_workers=1)
         try:
             release, _ = blocked_worker(sched, tenant="a")
             future = sched.submit(lambda: None, tenant="a")
@@ -206,6 +222,20 @@ class TestWorkerLifecycle:
         with pytest.raises(RuntimeError):
             sched.spawn(lambda: None)
 
+    def test_shutdown_counts_cancelled_queued_tasks(self):
+        sched = FanoutScheduler(max_workers=1)
+        release, blocker = blocked_worker(sched, tenant="a")
+        queued = [sched.submit(lambda: None, tenant=t) for t in ("a", "b", "b")]
+        sched.shutdown()
+        release.set()
+        blocker.result(timeout=5.0)
+        assert wait_until(lambda: sched.stats()["busy"] == 0)
+        stats = sched.stats()
+        assert all(future.cancelled() for future in queued)
+        assert stats["cancelled"] == 3
+        assert stats["tenants"]["b"]["cancelled"] == 2
+        assert_tasks_balance(stats)
+
 
 class TestQueueWaitShedding:
     def test_reactor_tick_sheds_overstayed_tasks(self):
@@ -228,6 +258,34 @@ class TestQueueWaitShedding:
             assert stats["shedTimeouts"] >= 1
             assert stats["tenants"]["slowpoke"]["shed"] >= 1
             assert stats["avgUtilization"] > 0.0  # the tick sampled
+            assert_tasks_balance(stats)
+        finally:
+            sched.shutdown()
+            reactor.shutdown()
+
+    def test_tick_counts_caller_cancelled_task_as_cancelled(self):
+        """The engine cancels its pending futures on a hard failure; an
+        overdue task the caller already cancelled was not shed."""
+        reactor = Reactor("shed-cancelled")
+        sched = FanoutScheduler(
+            max_workers=1,
+            reactor=reactor,
+            max_queue_wait_s=0.05,
+            tick_interval_s=0.02,
+        )
+        try:
+            release, blocker = blocked_worker(sched)
+            victim = sched.submit(lambda: "never", tenant="gone")
+            assert victim.cancel()
+            assert wait_until(lambda: sched.stats()["queueDepth"] == 0)
+            release.set()
+            blocker.result(timeout=5.0)
+            assert wait_until(lambda: sched.stats()["busy"] == 0)
+            stats = sched.stats()
+            assert stats["shedTimeouts"] == 0
+            assert stats["tenants"]["gone"]["cancelled"] == 1
+            assert stats["tenants"]["gone"]["shed"] == 0
+            assert_tasks_balance(stats)
         finally:
             sched.shutdown()
             reactor.shutdown()
@@ -395,7 +453,6 @@ class TestEngineIntegration:
 
         engine = FederationEngine(client=None, managers={})
         stats = engine.scheduler_stats()
-        assert stats["enabled"] == 1
         assert stats["workers"] == 0
         assert stats["submitted"] == 0
 
@@ -409,15 +466,6 @@ class TestEngineIntegration:
         # shed happens before fan-out, so even a cached query is shed
         tenants = engine.scheduler_stats()["tenants"]
         assert tenants["flooder"]["shed"] >= 1
-
-    def test_legacy_arm_still_answers_identically(self, fedgrid):
-        grid, engine = fedgrid
-        pooled = engine.execute("SELECT m")
-        legacy_engine = grid.fed_engine
-        legacy_engine.use_shared_pool = False
-        legacy_engine.plan_cache.clear()
-        legacy = legacy_engine.execute("SELECT m")
-        assert [r.pack() for r in pooled.rows] == [r.pack() for r in legacy.rows]
 
     def test_monitor_publishes_scheduler_sdes(self, fedgrid):
         grid, engine = fedgrid
@@ -436,5 +484,4 @@ class TestEngineIntegration:
         engine.execute("SELECT m WHERE numprocs = 2")
         site = next(iter(grid.sites.values()))
         nested = site.manager.stats()["fanoutScheduler"]
-        assert nested["enabled"] == 1
         assert nested["submitted"] >= 1

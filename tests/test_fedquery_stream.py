@@ -11,8 +11,6 @@ on ``data_updated`` and the skipped-member-aware fan-out width.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core.semantic import PerformanceResult
@@ -209,7 +207,19 @@ class TestMemberStreamClose:
     producer noticed.  The condition-signalled buffer wakes it at once.
     """
 
-    def _blocked_stream(self):
+    @staticmethod
+    def _thread_runner(threads):
+        """A runner starting one thread per producer, kept in *threads*."""
+        import threading
+
+        def runner(fn):
+            thread = threading.Thread(target=fn, daemon=True)
+            threads.append(thread)
+            thread.start()
+
+        return runner
+
+    def _blocked_stream(self, threads):
         import threading
 
         from repro.fedquery.stream import MemberStream
@@ -221,7 +231,9 @@ class TestMemberStreamClose:
                 producing.set()
                 yield [f"row-{i}"]
 
-        stream = MemberStream("m", produce, chunk_depth=1)
+        stream = MemberStream(
+            "m", produce, self._thread_runner(threads), chunk_depth=1
+        )
         stream.start()
         assert producing.wait(timeout=5.0)
         return stream
@@ -229,16 +241,19 @@ class TestMemberStreamClose:
     def test_close_wakes_blocked_producer_promptly(self):
         import time
 
-        stream = self._blocked_stream()
+        threads: list = []
+        stream = self._blocked_stream(threads)
         time.sleep(0.05)  # let the producer block on the full window
         start = time.monotonic()
         stream.close()
         elapsed = time.monotonic() - start
-        assert not stream._thread.is_alive()  # producer exited, joined
+        assert stream._producer_done  # close waited for the producer
+        threads[0].join(timeout=5.0)
+        assert not threads[0].is_alive()  # producer exited
         assert elapsed < 0.5, f"close took {elapsed * 1e3:.0f} ms"
 
     def test_next_row_after_close_returns_none(self):
-        stream = self._blocked_stream()
+        stream = self._blocked_stream([])
         stream.close()
         assert stream.next_row() is None
 
@@ -254,7 +269,9 @@ class TestMemberStreamClose:
             release.wait(timeout=10.0)
             yield []
 
-        stream = MemberStream("m", produce, chunk_depth=1)
+        stream = MemberStream(
+            "m", produce, self._thread_runner([]), chunk_depth=1
+        )
         stream.start()
         got: list = []
         consumer = threading.Thread(
@@ -267,40 +284,6 @@ class TestMemberStreamClose:
         assert not consumer.is_alive()
         assert got == [None]
         stream.close()
-
-
-class TestFanoutWidth:
-    """Satellite: members the cost model skipped must not size the pool."""
-
-    def _engine_with_fake_managers(self, fedgrid):
-        _, engine = fedgrid
-        engine.managers = {
-            "A": SimpleNamespace(stats=lambda: {"replicas": 4}),
-            "B": SimpleNamespace(stats=lambda: {"replicas": 16}),
-        }
-        return engine
-
-    def test_only_participating_members_count(self, fedgrid):
-        engine = self._engine_with_fake_managers(fedgrid)
-        a_tasks = [SimpleNamespace(app="A") for _ in range(50)]
-        # fanout_slots_per_replica (4, per-service dispatch) * A's 4 replicas
-        assert engine._fanout_width(a_tasks) == 16
-        mixed = a_tasks + [SimpleNamespace(app="B") for _ in range(50)]
-        assert engine._fanout_width(mixed) == 32  # capped at FANOUT_CAP
-
-    def test_unknown_provenance_falls_back_to_topology(self, fedgrid):
-        engine = self._engine_with_fake_managers(fedgrid)
-        bare = [SimpleNamespace() for _ in range(50)]  # no .app tag
-        assert engine._fanout_width(bare) == 32
-
-    def test_width_never_exceeds_task_count(self, fedgrid):
-        engine = self._engine_with_fake_managers(fedgrid)
-        assert engine._fanout_width([SimpleNamespace(app="A")]) == 1
-
-    def test_max_workers_still_wins(self, fedgrid):
-        engine = self._engine_with_fake_managers(fedgrid)
-        engine.max_workers = 3
-        assert engine._fanout_width([SimpleNamespace(app="A")] * 10) == 3
 
 
 class TestStatsDeltas:
